@@ -17,8 +17,7 @@ on a line, at the cost of reversing the qubit order.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +25,8 @@ from ..circuits import Circuit
 from ..exceptions import BenchmarkError
 from ..hamiltonians import SKModel
 from ..optimize import minimize_nelder_mead
-from ..simulation import Counts, final_statevector
+from ..paulis import PauliString, PauliSum
+from ..simulation import CompiledStatevector, Counts, compile_statevector
 from ..suite.registry import register_family
 from .base import Benchmark
 
@@ -42,8 +42,31 @@ def _energy_score(ideal: float, measured: float) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
+def _swap_network(num_qubits: int) -> Tuple[List[Tuple[int, int, int]], List[int]]:
+    """Walk the linear SWAP network of ``num_qubits`` layers.
+
+    Returns ``(position, a, b)`` for every ``zzswap`` in circuit order — it
+    acts on positions ``position`` and ``position + 1``, which hold logical
+    qubits ``a`` and ``b`` — and the final layout (position -> logical qubit).
+    """
+    layout = list(range(num_qubits))
+    gates = []
+    for layer in range(num_qubits):
+        for position in range(layer % 2, num_qubits - 1, 2):
+            a, b = layout[position], layout[position + 1]
+            gates.append((position, a, b))
+            layout[position], layout[position + 1] = b, a
+    return gates, layout
+
+
 class _QAOABenchmark(Benchmark):
-    """Shared state and scoring of the two QAOA variants."""
+    """Shared ansatz, pre-optimisation and scoring of the two QAOA variants.
+
+    Subclasses name their cost-layer gate and list its interactions.
+    """
+
+    #: Two-qubit gate of the cost layer.
+    cost_gate: str = ""
 
     def __init__(self, num_qubits: int, seed: int = 0) -> None:
         if num_qubits < 2:
@@ -55,29 +78,58 @@ class _QAOABenchmark(Benchmark):
             )
         self._num_qubits = int(num_qubits)
         self.model = SKModel.random(num_qubits, seed=seed)
+        self._interactions = self._cost_layer()
         self._parameters: Optional[Tuple[float, float]] = None
         self._ideal_energy: Optional[float] = None
+        self._energy_model: Optional[Tuple[CompiledStatevector, PauliSum]] = None
 
-    # -- ansatz construction (implemented by subclasses) -------------------
-    def ansatz(self, gamma: float, beta: float, measure: bool = True) -> Circuit:
+    # -- ansatz construction -------------------------------------------------
+    def _cost_layer(self) -> List[Tuple[Tuple[int, int], float]]:
+        """``((qubit, qubit), weight)`` of every cost-layer gate, in circuit order."""
         raise NotImplementedError
 
     def _logical_bit_positions(self) -> List[int]:
         """Position of each logical qubit in the measured bitstring."""
         return list(range(self._num_qubits))
 
+    def _angles(self, gamma: float, beta: float) -> Tuple[List[float], float]:
+        """The cost-gate angles (in circuit order) and the mixer angle."""
+        return [2.0 * gamma * w for _qubits, w in self._interactions], 2.0 * beta
+
+    def ansatz(self, gamma: float, beta: float, measure: bool = True) -> Circuit:
+        """Depth-one QAOA: ``H`` layer, cost gates at ``2 gamma w``, ``RX(2 beta)`` mixer."""
+        n = self._num_qubits
+        cost, mixer = self._angles(gamma, beta)
+        circuit = Circuit(n, n, name=f"{self.name}_{n}")
+        for q in range(n):
+            circuit.h(q)
+        for (qubits, _weight), theta in zip(self._interactions, cost):
+            circuit.add_gate(self.cost_gate, qubits, (theta,))
+        for q in range(n):
+            circuit.rx(mixer, q)
+        if measure:
+            circuit.measure_all()
+        return circuit
+
     # -- classical pre-optimisation ----------------------------------------
     def _ansatz_energy(self, gamma: float, beta: float) -> float:
-        circuit = self.ansatz(gamma, beta, measure=False)
-        state = final_statevector(circuit)
-        hamiltonian = self._physical_hamiltonian()
+        """Noiseless ⟨H⟩ of the ansatz at ``(gamma, beta)``.
+
+        The ansatz is compiled and the Hamiltonian built once per instance;
+        each call only rebinds the parametric rows (the cost angles, then
+        the mixer angle per qubit) with the values :meth:`ansatz` uses.
+        """
+        if self._energy_model is None:
+            evolve = compile_statevector(self.ansatz(0.0, 0.0, measure=False))
+            self._energy_model = (evolve, self._physical_hamiltonian())
+        evolve, hamiltonian = self._energy_model
+        cost, mixer = self._angles(gamma, beta)
+        state = evolve(cost + [mixer] * self._num_qubits)
         return hamiltonian.expectation_from_statevector(state)
 
-    def _physical_hamiltonian(self):
+    def _physical_hamiltonian(self) -> PauliSum:
         """The cost Hamiltonian expressed on the measured qubit positions."""
         positions = self._logical_bit_positions()
-        from ..paulis import PauliString, PauliSum
-
         terms = PauliSum()
         for (i, j), w in self.model.weights:
             terms.add_term(w, PauliString.from_dict({positions[i]: "Z", positions[j]: "Z"}))
@@ -153,17 +205,10 @@ class VanillaQAOABenchmark(_QAOABenchmark):
 
     name = "vanilla_qaoa"
 
-    def ansatz(self, gamma: float, beta: float, measure: bool = True) -> Circuit:
-        circuit = Circuit(self._num_qubits, self._num_qubits, name=f"vanilla_qaoa_{self._num_qubits}")
-        for q in range(self._num_qubits):
-            circuit.h(q)
-        for (i, j), w in self.model.weights:
-            circuit.rzz(2.0 * gamma * w, i, j)
-        for q in range(self._num_qubits):
-            circuit.rx(2.0 * beta, q)
-        if measure:
-            circuit.measure_all()
-        return circuit
+    cost_gate = "rzz"
+
+    def _cost_layer(self) -> List[Tuple[Tuple[int, int], float]]:
+        return list(self.model.weights)
 
     def __str__(self) -> str:
         return f"vanilla_qaoa[{self._num_qubits}q]"
@@ -185,33 +230,15 @@ class ZZSwapQAOABenchmark(_QAOABenchmark):
 
     name = "zzswap_qaoa"
 
-    def ansatz(self, gamma: float, beta: float, measure: bool = True) -> Circuit:
-        circuit = Circuit(self._num_qubits, self._num_qubits, name=f"zzswap_qaoa_{self._num_qubits}")
-        for q in range(self._num_qubits):
-            circuit.h(q)
-        # position -> logical qubit currently stored there
-        layout = list(range(self._num_qubits))
-        for layer in range(self._num_qubits):
-            start = layer % 2
-            for position in range(start, self._num_qubits - 1, 2):
-                a, b = layout[position], layout[position + 1]
-                weight = self.model.weight(a, b)
-                circuit.zzswap(2.0 * gamma * weight, position, position + 1)
-                layout[position], layout[position + 1] = layout[position + 1], layout[position]
-        self._final_layout = list(layout)
-        for q in range(self._num_qubits):
-            circuit.rx(2.0 * beta, q)
-        if measure:
-            circuit.measure_all()
-        return circuit
+    cost_gate = "zzswap"
+
+    def _cost_layer(self) -> List[Tuple[Tuple[int, int], float]]:
+        gates, _layout = _swap_network(self._num_qubits)
+        return [((p, p + 1), self.model.weight(a, b)) for p, a, b in gates]
 
     def _logical_bit_positions(self) -> List[int]:
         # A full SWAP network of n layers reverses the qubit order.
-        layout = getattr(self, "_final_layout", None)
-        if layout is None:
-            # Build once to learn the permutation.
-            self.ansatz(0.0, 0.0, measure=False)
-            layout = self._final_layout
+        _gates, layout = _swap_network(self._num_qubits)
         positions = [0] * self._num_qubits
         for position, logical in enumerate(layout):
             positions[logical] = position

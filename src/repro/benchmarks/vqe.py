@@ -24,7 +24,8 @@ from ..circuits import Circuit
 from ..exceptions import BenchmarkError
 from ..hamiltonians import TransverseFieldIsing
 from ..optimize import minimize_nelder_mead
-from ..simulation import Counts, final_statevector
+from ..paulis import PauliSum
+from ..simulation import CompiledStatevector, Counts, compile_statevector
 from ..suite.registry import register_family
 from .base import Benchmark
 from .qaoa import _energy_score
@@ -66,6 +67,7 @@ class VQEBenchmark(Benchmark):
         self.model = TransverseFieldIsing(num_qubits, coupling=coupling, field=field)
         self._parameters: Optional[np.ndarray] = None
         self._ideal_energy: Optional[float] = None
+        self._energy_model: Optional[Tuple[CompiledStatevector, PauliSum]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -116,8 +118,17 @@ class VQEBenchmark(Benchmark):
 
     # ------------------------------------------------------------------
     def _energy_from_statevector(self, parameters: Sequence[float]) -> float:
-        state = final_statevector(self.ansatz(parameters))
-        return self.model.hamiltonian().expectation_from_statevector(state)
+        """Noiseless ⟨H⟩ of the ansatz at ``parameters``.
+
+        The ansatz is compiled and the Hamiltonian built once per instance.
+        The ansatz's parametric rows are its parameters in order, so each
+        call rebinds them directly.
+        """
+        if self._energy_model is None:
+            evolve = compile_statevector(self.ansatz(np.zeros(self.num_parameters)))
+            self._energy_model = (evolve, self.model.hamiltonian())
+        evolve, hamiltonian = self._energy_model
+        return hamiltonian.expectation_from_statevector(evolve(parameters))
 
     def optimal_parameters(self) -> np.ndarray:
         """Variational parameters optimised by classical simulation."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,14 @@ _PAULI_PRODUCT = {
     ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
     ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
 }
+
+#: ``(-i)**k`` for ``k = 0..3``: the phase a string with ``k`` Y factors
+#: contributes on the all-zeros row.
+_MINUS_I_POWERS = (1.0 + 0.0j, -1j, -1.0 + 0.0j, 1j)
+
+#: One Pauli term lowered for matrix-free expectations:
+#: ``(coefficient, source index or None, phase vector)``.
+_TermTable = Tuple[complex, Optional[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -204,6 +212,8 @@ class PauliSum:
 
     def __init__(self, terms: Iterable[PauliTerm] | None = None) -> None:
         self._terms: List[PauliTerm] = list(terms or [])
+        #: Per-width bitmask tables of :meth:`expectation_from_statevector`.
+        self._expectation_tables: Dict[int, List[_TermTable]] = {}
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -212,6 +222,7 @@ class PauliSum:
 
     def add_term(self, coefficient: complex, pauli: PauliString) -> "PauliSum":
         self._terms.append(PauliTerm(coefficient, pauli))
+        self._expectation_tables.clear()
         return self
 
     @property
@@ -264,13 +275,64 @@ class PauliSum:
         return out
 
     def expectation_from_statevector(self, statevector: np.ndarray) -> float:
-        """⟨psi|H|psi⟩ for a dense statevector (little-endian indexing)."""
-        num_qubits = int(np.log2(len(statevector)))
+        """⟨psi|H|psi⟩ for a dense statevector (little-endian indexing).
+
+        Matrix-free: row ``x`` of a Pauli string's matrix has its single
+        non-zero entry, a phase in {±1, ±i}, in column ``x ^ xmask``, so
+        ``P @ psi`` is the gather ``phase * psi[x ^ xmask]``.  Multiplying by
+        such a phase is exact, so every term feeds ``np.vdot`` the same
+        operand as the dense ``P.matrix(n) @ psi`` and the sum, taken in term
+        order, is bit-identical to the dense evaluation.
+
+        Raises:
+            AnalysisError: if the statevector is not one-dimensional with a
+                power-of-two length, or a term acts on a qubit it lacks.
+        """
+        psi = np.asarray(statevector)
+        dim = psi.shape[0] if psi.ndim == 1 else 0
+        if dim < 1 or dim & (dim - 1):
+            raise AnalysisError(
+                f"statevector of shape {psi.shape} is not a power-of-two vector"
+            )
         value = 0.0 + 0.0j
-        for term in self._terms:
-            matrix = term.pauli.matrix(num_qubits)
-            value += term.coefficient * np.vdot(statevector, matrix @ statevector)
+        for coefficient, source, phase in self._term_tables(dim.bit_length() - 1):
+            gathered = psi if source is None else psi[source]
+            value += coefficient * np.vdot(psi, phase * gathered)
         return float(value.real)
+
+    def _term_tables(self, num_qubits: int) -> List[_TermTable]:
+        """``(coefficient, source, phase)`` per term on ``num_qubits`` qubits, cached.
+
+        ``source`` is ``x ^ xmask`` (``None`` for diagonal terms) and
+        ``phase[x] = (-i)**#Y * (-1)**popcount(x & zmask)``, where ``zmask``
+        covers the Z and Y factors.
+        """
+        tables = self._expectation_tables.get(num_qubits)
+        if tables is not None:
+            return tables
+        indices = np.arange(1 << num_qubits)
+        tables = []
+        for term in self._terms:
+            x_mask = num_y = 0
+            parity = np.zeros(indices.shape, dtype=bool)
+            for qubit, letter in term.pauli:
+                if qubit >= num_qubits:
+                    raise AnalysisError(
+                        f"term {term.pauli} acts on qubit {qubit} of a "
+                        f"{num_qubits}-qubit statevector"
+                    )
+                if letter != "Z":
+                    x_mask |= 1 << qubit
+                if letter != "X":
+                    parity ^= ((indices >> qubit) & 1).astype(bool)
+                if letter == "Y":
+                    num_y += 1
+            base = _MINUS_I_POWERS[num_y % 4]
+            phase = np.where(parity, -base, base)
+            source = indices ^ x_mask if x_mask else None
+            tables.append((term.coefficient, source, phase))
+        self._expectation_tables[num_qubits] = tables
+        return tables
 
     def group_commuting(self) -> List[List[PauliTerm]]:
         """Greedy grouping of terms into qubit-wise commuting sets.

@@ -33,8 +33,10 @@ from .result import (
 )
 from .statevector import (
     StatevectorSimulator,
+    CompiledStatevector,
     apply_unitary,
     circuit_unitary,
+    compile_statevector,
     final_statevector,
     probabilities_from_statevector,
     sample_statevector,
@@ -64,6 +66,8 @@ __all__ = [
     "StatevectorSimulator",
     "DensityMatrixSimulator",
     "apply_unitary",
+    "compile_statevector",
+    "CompiledStatevector",
     "final_statevector",
     "circuit_unitary",
     "probabilities_from_statevector",

@@ -55,6 +55,7 @@ __all__ = [
     "kernel_for_operation",
     "apply_matrix",
     "apply_matrix_reference",
+    "ReferenceContraction",
     "apply_kernel",
     "FusedGate",
     "fuse_operations",
@@ -215,6 +216,38 @@ def apply_matrix_reference(
     moved = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), list(axes)))
     # tensordot puts the gate's output axes first, in target order; move back.
     return np.moveaxis(moved, list(range(k)), list(axes))
+
+
+@dataclass(frozen=True)
+class ReferenceContraction:
+    """:func:`apply_matrix_reference` on fixed target axes of a qubit tensor.
+
+    ``np.tensordot`` and ``np.moveaxis`` re-derive their axis bookkeeping on
+    every call.  This holds it precomputed, so a call is the one
+    ``dot(at, bt)`` that tensordot issues, with identical operands and the
+    same data movement around it: the result is bit-identical to
+    ``np.ascontiguousarray(apply_matrix_reference(tensor, matrix, axes))``.
+    ``matrix`` must be C-contiguous complex (tensordot's ``at`` operand).
+    """
+
+    gather: Tuple[int, ...]
+    gather_shape: Tuple[int, int]
+    scatter: Tuple[int, ...]
+
+    @classmethod
+    def for_axes(cls, axes: Sequence[int], ndim: int) -> "ReferenceContraction":
+        k = len(axes)
+        rest = tuple(axis for axis in range(ndim) if axis not in axes)
+        # np.moveaxis(result, range(k), axes) as one transpose order.
+        scatter = list(range(k, ndim))
+        for destination, source in sorted(zip(axes, range(k))):
+            scatter.insert(destination, source)
+        return cls(tuple(axes) + rest, (1 << k, 1 << len(rest)), tuple(scatter))
+
+    def __call__(self, tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        gathered = tensor.transpose(self.gather).reshape(self.gather_shape)
+        product = np.dot(matrix, gathered).reshape(tensor.shape)
+        return np.ascontiguousarray(product.transpose(self.scatter))
 
 
 def _apply_diagonal(

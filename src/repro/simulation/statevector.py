@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from ..exceptions import SimulationError
 from ..telemetry import get_metrics, get_tracer
 from . import kernels
 from .kernels import (
+    _OP_MATRIX_FNS,
     FusedGate,
     GateKernel,
+    ReferenceContraction,
     apply_kernel,
     counts_from_samples,
     fuse_operations,
@@ -49,6 +51,8 @@ from .result import Counts
 
 __all__ = [
     "apply_unitary",
+    "compile_statevector",
+    "CompiledStatevector",
     "final_statevector",
     "circuit_unitary",
     "probabilities_from_statevector",
@@ -105,26 +109,13 @@ def _initial_tensor(num_qubits: int, initial_state: np.ndarray | None) -> np.nda
     return state.reshape((2,) * num_qubits)
 
 
-def final_statevector(
-    circuit: Circuit,
-    initial_state: np.ndarray | None = None,
-    fuse: bool = False,
-) -> np.ndarray:
-    """Ideal final statevector of a circuit.
+def _unitary_rows(circuit: Circuit) -> List[Tuple[int, Tuple[int, ...], Tuple[float, ...]]]:
+    """``(opcode, qubits, params)`` of every gate row of a pure-state circuit.
 
-    Terminal measurements are ignored; mid-circuit measurements or resets
-    raise :class:`SimulationError` because the output would not be a pure
-    state (use :class:`StatevectorSimulator` instead).
-
-    Args:
-        fuse: Merge adjacent gates with :func:`~repro.simulation.kernels.fuse_operations`
-            before evolving.  Faster for deep circuits, but the result may
-            differ from the unfused evolution in the last floating-point ulp —
-            leave off where bit-reproducibility of seeded sampling matters.
+    Terminal measurements and barriers are skipped; reset and mid-circuit
+    measurement raise :class:`SimulationError` because the output would not
+    be a pure state (use :class:`StatevectorSimulator` instead).
     """
-    num_qubits = circuit.num_qubits
-    psi = _initial_tensor(num_qubits, initial_state)
-
     gate_rows: List[Tuple[int, Tuple[int, ...], Tuple[float, ...]]] = []
     seen_measurement_qubits: set[int] = set()
     for _row, opcode, qubits, params, _clbit in circuit.packed().iter_rows():
@@ -142,21 +133,137 @@ def final_statevector(
                 "circuit contains mid-circuit measurement; use StatevectorSimulator"
             )
         gate_rows.append((opcode, qubits, params))
+    return gate_rows
 
-    if fuse:
-        operations = [
-            (operation_matrix(opcode, params), qubits)
-            for opcode, qubits, params in gate_rows
-        ]
-        for fused in fuse_operations(operations):
-            axes = [qubit_axis(q, num_qubits) for q in fused.qubits]
-            psi = apply_kernel(psi, fused.kernel, axes, strict=False)
-    else:
-        # Strict kernels keep this path bit-identical to the historical
-        # per-gate tensordot evolution (the seeded sampling contract).
-        for opcode, qubits, params in gate_rows:
-            axes = [qubit_axis(q, num_qubits) for q in qubits]
-            psi = apply_kernel(psi, kernel_for_operation(opcode, params), axes, strict=True)
+
+@dataclass(frozen=True)
+class _EvolutionStep:
+    """One gate row of a :class:`CompiledStatevector`: a fixed row's cached
+    strict kernel, or a parametric row's matrix factory, value slice and
+    reference contraction."""
+
+    axes: Tuple[int, ...]
+    kernel: Optional[GateKernel] = None
+    matrix_fn: Optional[Callable[..., np.ndarray]] = None
+    values: Optional[slice] = None
+    contraction: Optional[ReferenceContraction] = None
+
+
+class CompiledStatevector:
+    """The strict ideal evolution of one circuit, with rebindable parameters.
+
+    Built by :func:`compile_statevector`.  Fixed rows keep their cached
+    strict kernel.  Parametric rows rebuild their matrix with the gate's own
+    scalar ``matrix_fn`` and apply it through a
+    :class:`~repro.simulation.kernels.ReferenceContraction`, so no matrix is
+    analysed per call.  The fixed rows before the first parametric row are
+    evolved from ``|0…0⟩`` once, on first use, and copied per call.  The
+    result is bit-identical to a per-gate
+    :func:`~repro.simulation.kernels.apply_matrix_reference` walk of the
+    circuit with the same values bound.
+    """
+
+    def __init__(self, num_qubits: int, steps: Sequence[_EvolutionStep], num_values: int) -> None:
+        self.num_qubits = num_qubits
+        self.num_values = num_values
+        self._steps = tuple(steps)
+        self._split = next(
+            (i for i, step in enumerate(self._steps) if step.kernel is None), len(self._steps)
+        )
+        self._prefix_state: Optional[np.ndarray] = None
+
+    def __call__(
+        self, values: Sequence[float], initial_state: np.ndarray | None = None
+    ) -> np.ndarray:
+        pool = np.asarray(values, dtype=float).ravel().tolist()
+        if len(pool) != self.num_values:
+            raise SimulationError(
+                f"expected {self.num_values} parameter values, got {len(pool)}"
+            )
+        if initial_state is None:
+            if self._prefix_state is None:
+                self._prefix_state = self._evolve(
+                    _initial_tensor(self.num_qubits, None), self._steps[: self._split], pool
+                )
+            psi = self._prefix_state.copy()
+            steps = self._steps[self._split :]
+        else:
+            psi = _initial_tensor(self.num_qubits, initial_state)
+            steps = self._steps
+        return np.ascontiguousarray(self._evolve(psi, steps, pool)).reshape(-1)
+
+    @staticmethod
+    def _evolve(
+        psi: np.ndarray, steps: Sequence[_EvolutionStep], pool: List[float]
+    ) -> np.ndarray:
+        for step in steps:
+            if step.kernel is not None:
+                psi = apply_kernel(psi, step.kernel, step.axes, strict=True)
+            else:
+                matrix = np.ascontiguousarray(step.matrix_fn(*pool[step.values]), dtype=complex)
+                psi = step.contraction(psi, matrix)
+        return psi
+
+
+def compile_statevector(circuit: Circuit) -> CompiledStatevector:
+    """Compile the strict ideal evolution of ``circuit`` for parameter rebinding.
+
+    The returned callable takes the values of the circuit's parametric rows,
+    concatenated in row order (``circuit.packed().params`` is the circuit's
+    own), plus an optional initial state, and returns the final statevector.
+    Terminal measurements are ignored; reset and mid-circuit measurement
+    raise :class:`SimulationError`.
+    """
+    num_qubits = circuit.num_qubits
+    steps: List[_EvolutionStep] = []
+    offset = 0
+    for opcode, qubits, params in _unitary_rows(circuit):
+        axes = tuple(qubit_axis(q, num_qubits) for q in qubits)
+        if not params:
+            steps.append(_EvolutionStep(axes, kernel=kernel_for_operation(opcode, params)))
+            continue
+        steps.append(
+            _EvolutionStep(
+                axes,
+                matrix_fn=_OP_MATRIX_FNS[opcode],
+                values=slice(offset, offset + len(params)),
+                contraction=ReferenceContraction.for_axes(axes, num_qubits),
+            )
+        )
+        offset += len(params)
+    return CompiledStatevector(num_qubits, steps, offset)
+
+
+def final_statevector(
+    circuit: Circuit,
+    initial_state: np.ndarray | None = None,
+    fuse: bool = False,
+) -> np.ndarray:
+    """Ideal final statevector of a circuit.
+
+    Terminal measurements are ignored; mid-circuit measurements or resets
+    raise :class:`SimulationError` because the output would not be a pure
+    state (use :class:`StatevectorSimulator` instead).
+
+    Args:
+        fuse: Merge adjacent gates with :func:`~repro.simulation.kernels.fuse_operations`
+            before evolving.  Faster for deep circuits, but the result may
+            differ from the unfused evolution in the last floating-point ulp —
+            leave off where bit-reproducibility of seeded sampling matters.
+    """
+    if not fuse:
+        # The strict path (the seeded sampling contract) is the compiled
+        # evolution bound to the circuit's own parameters.
+        return compile_statevector(circuit)(circuit.packed().params, initial_state)
+    num_qubits = circuit.num_qubits
+    psi = _initial_tensor(num_qubits, initial_state)
+    operations = [
+        (operation_matrix(opcode, params), qubits)
+        for opcode, qubits, params in _unitary_rows(circuit)
+    ]
+    for fused in fuse_operations(operations):
+        axes = [qubit_axis(q, num_qubits) for q in fused.qubits]
+        psi = apply_kernel(psi, fused.kernel, axes, strict=False)
     return np.ascontiguousarray(psi).reshape(-1)
 
 

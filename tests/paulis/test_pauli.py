@@ -113,6 +113,25 @@ class TestPauliSum:
         assert x_sum.expectation_from_statevector(state) == pytest.approx(1.0)
         assert z_sum.expectation_from_statevector(state) == pytest.approx(0.0, abs=1e-9)
 
+    def test_term_beyond_state_width_rejected(self):
+        # Z3 on a 2-qubit state used to be read as the identity.
+        total = PauliSum().add_term(1.0, PauliString.from_dict({3: "Z"}))
+        with pytest.raises(AnalysisError):
+            total.expectation_from_statevector(np.array([1, 0, 0, 0], dtype=complex))
+
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    def test_non_power_of_two_state_rejected(self, length):
+        total = PauliSum().add_term(1.0, PauliString.from_label("Z"))
+        with pytest.raises(AnalysisError):
+            total.expectation_from_statevector(np.ones(length, dtype=complex))
+
+    def test_add_term_after_evaluation_is_counted(self):
+        state = final_statevector(Circuit(2).x(1))
+        total = PauliSum().add_term(1.0, PauliString.from_label("ZI"))
+        assert total.expectation_from_statevector(state) == 1.0
+        total.add_term(2.0, PauliString.from_label("IZ"))
+        assert total.expectation_from_statevector(state) == -1.0
+
     def test_scalar_multiplication(self):
         total = PauliSum().add_term(2.0, PauliString.from_label("Z"))
         scaled = 0.5 * total
@@ -169,3 +188,28 @@ class TestPauliPropertyBased:
         phase, product = pauli * pauli
         assert phase == 1
         assert product == PauliString.identity()
+
+    @given(
+        num_qubits=st.integers(min_value=1, max_value=8),
+        labels=st.lists(st.text("IXYZ", min_size=8, max_size=8), min_size=1, max_size=6),
+        coefficients=st.lists(
+            st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+            min_size=6,
+            max_size=6,
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_free_expectation_matches_dense_oracle_exactly(
+        self, num_qubits, labels, coefficients, seed
+    ):
+        total = PauliSum()
+        for label, coefficient in zip(labels, coefficients):
+            total.add_term(coefficient, PauliString.from_label(label[:num_qubits]))
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+        state /= np.linalg.norm(state)
+        dense = 0.0 + 0.0j
+        for term in total:
+            dense += term.coefficient * np.vdot(state, term.pauli.matrix(num_qubits) @ state)
+        assert total.expectation_from_statevector(state) == float(dense.real)
