@@ -5,11 +5,11 @@ Two families of targets:
 * pytest-benchmark timings of the preset pipelines over the small Fig. 2
   suite (per-pass breakdown, pipeline construction, warm cache lookups) —
   informational, run by the CI smoke job with ``--benchmark-disable``.
-* ``pass_pipeline`` — the packed fast path vs the object-walk baseline for
-  the five optimization passes on a 1 000-gate circuit, gated against
-  ``BENCH_transpiler.json``.  The measurement asserts gate-for-gate parity
-  between the two paths before timing either, so the speedup can never be
-  bought with a semantic drift.  The acceptance floor is the ISSUE's >= 3x.
+* ``pass_pipeline`` — the production (packed) optimization passes vs their
+  object-walk oracles (``tests/transpiler/reference.py``) on a 1 000-gate
+  circuit, gated against ``BENCH_transpiler.json``.  The measurement asserts
+  gate-for-gate parity between the two before timing either, so the speedup
+  can never be bought with a semantic drift.  The acceptance floor is >= 3x.
 
 The gate compares speedup ratios (machine-independent), not absolute
 seconds.  ``REPRO_BENCH_QUICK=1`` reduces timing repeats (CI quick mode).
@@ -25,6 +25,7 @@ import math
 import os
 import pathlib
 import random
+import sys
 import time
 from collections import defaultdict
 from typing import Callable, Dict
@@ -45,6 +46,10 @@ from repro.transpiler import (
     transpile,
 )
 
+# The object-walk oracles live with the tests that pin production to them.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests" / "transpiler"))
+from reference import reference_pipeline  # noqa: E402
+
 DEVICE = "IBM-Guadalupe-16Q"
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_transpiler.json"
@@ -57,7 +62,7 @@ PIPELINE_GATES = 1000
 #: Timing repeats per mode (quick mode trades precision for CI latency).
 PIPELINE_REPEATS = {"full": 7, "quick": 3}
 
-#: Hard acceptance floor: packed pass pipeline >= 3x the object walk.
+#: Hard acceptance floor: packed pass pipeline >= 3x the object-walk oracle.
 SPEEDUP_FLOORS = {"full": {"pass_pipeline": 3.0}, "quick": {"pass_pipeline": 3.0}}
 
 #: The baseline's gate value is the measured speedup capped at this multiple
@@ -131,10 +136,10 @@ def _optimization_passes():
 def measure_pass_pipeline() -> Dict[str, object]:
     circuit = optimization_circuit()
     repeats = PIPELINE_REPEATS[MODE]
-    object_manager = PassManager(_optimization_passes(), use_packed=False)
-    packed_manager = PassManager(_optimization_passes(), use_packed=True)
+    packed_manager = PassManager(_optimization_passes())
+    object_manager = reference_pipeline(packed_manager)
 
-    # Parity first: the fast path must reproduce the object walk exactly.
+    # Parity first: production must reproduce the object-walk oracle exactly.
     expected = object_manager.run(circuit)
     observed = packed_manager.run(circuit)
     assert [
@@ -142,7 +147,6 @@ def measure_pass_pipeline() -> Dict[str, object]:
     ] == [
         (i.gate.name, i.gate.params, i.qubits, i.clbits) for i in observed.instructions
     ], "packed pipeline drifted from the object walk"
-    assert all(record.path == "packed" for record in packed_manager.last_records)
 
     object_seconds = _time(lambda: object_manager.run(circuit), repeats)
     packed_seconds = _time(lambda: packed_manager.run(circuit), repeats)

@@ -23,9 +23,6 @@ The package provides:
                            max_workers=4) as engine:
           run = engine.run(GHZBenchmark(5), shots=1000, repetitions=3)
 
-  The legacy helpers ``repro.experiments.run_benchmark_on_device`` and
-  ``repro.experiments.execute_circuits`` are deprecated shims over this
-  engine (see ``docs/execution.md``).
 * :mod:`repro.features` — the six SupermarQ application features.
 * :mod:`repro.benchmarks` — the eight benchmark applications with their
   circuit generators and score functions.

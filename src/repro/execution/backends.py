@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 #: Per-circuit seed stride inside a batch (kept identical to the historical
-#: ``execute_circuits`` loop so seeded results are reproducible across releases).
+#: per-circuit execution loop so seeded results are reproducible across
+#: releases).
 SEED_STRIDE = 7919
 
 #: A batch noise specification: one model for every circuit, one per circuit,

@@ -171,40 +171,11 @@ class TranspileCache:
         initial_layout)`` is resolved first and its fingerprint — not the raw
         arguments — forms the cache key, so e.g. two placement strategies (or
         a re-registered device preset) always occupy distinct entries.
+        Counts one hit or one miss (see :meth:`get_or_transpile_many`).
         """
-        pipeline = preset_pipeline(
-            device,
-            optimization_level=optimization_level,
-            placement=placement,
-            initial_layout=initial_layout,
-        )
-        key = (circuit_fingerprint(circuit), device.name, pipeline.fingerprint)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._hit_series.add(1.0)
-                return entry
-            self._miss_series.add(1.0)
-        # Transpile outside the lock so a slow compilation does not serialise
-        # unrelated lookups.  A concurrent duplicate compile is harmless:
-        # output is deterministic and setdefault keeps the first inserted
-        # entry, though each racer counts a miss, so misses may slightly
-        # exceed unique compilations under concurrency.
-        # Run the exact pipeline instance the key was fingerprinted from, so
-        # a concurrently re-registered device preset can never produce a
-        # compilation stored under another pipeline's fingerprint.
-        transpiled = transpile(circuit, device, pass_manager=pipeline)
-        compact, physical = transpiled.compact()
-        entry = CacheEntry(
-            transpiled=transpiled,
-            compact=compact,
-            physical=tuple(physical),
-            two_qubit_gates=transpiled.two_qubit_gate_count(),
-            depth=transpiled.depth(),
-            pipeline=pipeline.fingerprint,
-        )
-        with self._lock:
-            return self._entries.setdefault(key, entry)
+        return self.get_or_transpile_many(
+            [circuit], device, optimization_level, placement, initial_layout
+        )[0]
 
     def get_or_transpile_many(
         self,
@@ -219,7 +190,7 @@ class TranspileCache:
 
         The pipeline is resolved once for the whole batch and every circuit
         is fingerprinted exactly once (the fingerprint packs the circuit, so
-        the packed fast-path passes reuse that pack for free).  Cache lookup
+        the packed optimization passes reuse that pack for free).  Cache lookup
         happens under a single lock acquisition; intra-batch duplicates are
         deduplicated *before* counting, so a batch of N copies of one new
         circuit records one miss (and one hit if it was already cached), and
@@ -258,9 +229,15 @@ class TranspileCache:
                 else:
                     self._miss_series.add(1.0)
                     missing[key] = circuit
-        # Compile outside the lock (see get_or_transpile); each distinct
-        # missing circuit compiles exactly once, optionally fanned out over
-        # the caller's worker pool.
+        # Compile outside the lock so a slow compilation does not serialise
+        # unrelated lookups; each distinct missing circuit compiles exactly
+        # once, optionally fanned out over the caller's worker pool.  A
+        # concurrent duplicate compile from another call is harmless: output
+        # is deterministic and setdefault keeps the first inserted entry,
+        # though each racer counts a miss.  The exact pipeline instance the
+        # keys were fingerprinted from runs, so a concurrently re-registered
+        # device preset can never produce a compilation stored under another
+        # pipeline's fingerprint.
         def _compile(circuit: Circuit) -> CacheEntry:
             transpiled = transpile(circuit, device, pass_manager=pipeline)
             compact, physical = transpiled.compact()

@@ -1,9 +1,8 @@
 """Result containers produced by the execution engine.
 
-:class:`BenchmarkRun` historically lived in :mod:`repro.experiments.runner`;
-it moved here so the engine can build it without importing the experiment
-drivers (which themselves import the engine).  The old import path still
-works via a re-export.
+:class:`BenchmarkRun` lives here so the engine can build it without
+importing the experiment drivers (which themselves import the engine);
+:mod:`repro.experiments` re-exports it.
 """
 
 from __future__ import annotations

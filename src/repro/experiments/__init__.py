@@ -1,5 +1,6 @@
 """Experiment drivers reproducing every table and figure of the paper."""
 
+from ..execution import BenchmarkRun
 from .figure1 import figure1_benchmarks, render_figure1, reproduce_figure1
 from .figure2 import (
     figure2_records,
@@ -16,14 +17,11 @@ from .mitigated_scores import (
     reproduce_mitigated_scores,
     reproduce_mitigated_scores_result,
 )
-from .runner import BenchmarkRun, execute_circuits, run_benchmark_on_device
 from .table1 import PAPER_TABLE1, render_table1, reproduce_table1
 from .table2 import render_table2, reproduce_table2
 
 __all__ = [
     "BenchmarkRun",
-    "run_benchmark_on_device",
-    "execute_circuits",
     "reproduce_table1",
     "render_table1",
     "PAPER_TABLE1",

@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Sequence, Union
 
 from ..analysis import correlation_matrix
+from ..execution import BenchmarkRun
 from ..features import FEATURE_NAMES, TYPICAL_FEATURE_NAMES
 from ..suite.results import SuiteResult, coerce_runs
 from .formatting import format_heatmap
-from .runner import BenchmarkRun
 
 __all__ = [
     "ALL_REGRESSION_FEATURES",

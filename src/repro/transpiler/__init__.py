@@ -4,8 +4,9 @@ and optimization.
 The package is organised in three layers:
 
 * primitive rewrites (:mod:`~repro.transpiler.decomposition`,
-  :mod:`~repro.transpiler.optimization`, :mod:`~repro.transpiler.placement`,
-  :mod:`~repro.transpiler.routing`) — plain circuit -> circuit functions;
+  :mod:`~repro.transpiler.placement`, :mod:`~repro.transpiler.routing`) —
+  plain circuit -> circuit functions — and the Closed-Division optimizations
+  (:mod:`~repro.transpiler.optimization`) over the packed circuit form;
 * passes (:mod:`~repro.transpiler.passes`) wrapping each rewrite, run by a
   :class:`PassManager` (:mod:`~repro.transpiler.passmanager`) that threads a
   :class:`PropertySet` through the pipeline and records per-pass metrics;
@@ -21,13 +22,6 @@ from .decomposition import (
     decompose_to_canonical,
     translate_to_basis,
     zyz_angles,
-)
-from .optimization import (
-    cancel_adjacent_inverses,
-    drop_negligible,
-    fuse_single_qubit_runs,
-    merge_rotations,
-    optimize_circuit,
 )
 from .passes import (
     AnalysisPass,
@@ -57,7 +51,7 @@ from .presets import (
     unregister_device_preset,
 )
 from .routing import RoutedCircuit, route_circuit
-from .transpile import TranspiledCircuit, transpile, transpile_many
+from .transpile import TranspiledCircuit, transpile
 
 __all__ = [
     "SUPPORTED_BASES",
@@ -65,18 +59,12 @@ __all__ = [
     "decompose_to_canonical",
     "translate_to_basis",
     "zyz_angles",
-    "cancel_adjacent_inverses",
-    "drop_negligible",
-    "fuse_single_qubit_runs",
-    "merge_rotations",
-    "optimize_circuit",
     "noise_aware_placement",
     "trivial_placement",
     "RoutedCircuit",
     "route_circuit",
     "TranspiledCircuit",
     "transpile",
-    "transpile_many",
     # pass-manager architecture
     "BasePass",
     "AnalysisPass",

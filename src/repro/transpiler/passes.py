@@ -21,18 +21,20 @@ Pipelines are assembled by :class:`~repro.transpiler.passmanager.PassManager`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
-from ..circuits import Circuit, Instruction
+from ..circuits import Circuit
 from ..circuits.columnar import PackedCircuit
 from ..devices import Device
 from ..exceptions import TranspilerError
+from ..features.features import packed_profile
 from .decomposition import basis_for_gates, decompose_to_canonical, translate_to_basis
 from .optimization import (
-    cancel_adjacent_inverses,
-    drop_negligible,
-    fuse_single_qubit_runs,
-    merge_rotations,
+    cancel_adjacent_inverses_packed,
+    commuting_cancellation_packed,
+    drop_negligible_packed,
+    fuse_single_qubit_runs_packed,
+    merge_rotations_packed,
 )
 from .placement import Placement, noise_aware_placement, trivial_placement
 from .routing import route_circuit
@@ -72,17 +74,15 @@ class BasePass:
 
     Attributes:
         is_analysis: True for analysis passes (must not modify the circuit).
-        supports_packed: True when the pass implements :meth:`run_packed`
-            over the columnar IR.  The pass manager then feeds it a
-            :class:`~repro.circuits.columnar.PackedCircuit` instead of
-            unpacking to ``Instruction`` objects — see
-            ``docs/transpiler.md`` ("packed fast path") for the protocol
-            and fallback rules.  A packed implementation must reproduce
-            :meth:`run` gate for gate (the transpile goldens assert it).
+        packed: The circuit form :meth:`run` takes and returns — a
+            :class:`~repro.circuits.columnar.PackedCircuit` when True, a
+            :class:`~repro.circuits.Circuit` otherwise.  The pass manager
+            converts between the forms where consecutive passes differ
+            (see ``docs/transpiler.md``, "circuit forms").
     """
 
     is_analysis = False
-    supports_packed = False
+    packed = False
 
     @property
     def name(self) -> str:
@@ -106,22 +106,13 @@ class BasePass:
         """Stable string identifying this pass inside a pipeline fingerprint."""
         return f"{self.name}{self.signature()!r}"
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        """Execute the pass; return the (possibly rewritten) circuit."""
-        raise NotImplementedError
+    def run(self, circuit, property_set: PropertySet):
+        """Execute the pass; return the (possibly rewritten) circuit.
 
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        """Execute the pass over the columnar IR (``supports_packed`` only).
-
-        Must be behaviourally identical to :meth:`run`: the returned pack
-        unpacks to the exact circuit :meth:`run` would have produced.
+        ``circuit`` is in the form the class's :attr:`packed` flag names, and
+        the result is in the same form.
         """
-        raise TranspilerError(
-            f"pass {self.name!r} has no packed implementation "
-            "(supports_packed is False)"
-        )
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}{self.signature()!r}"
@@ -157,81 +148,45 @@ class DecomposeToCanonical(TransformationPass):
 class DropNegligible(TransformationPass):
     """Remove identity gates and numerically-zero rotations."""
 
-    supports_packed = True
+    packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return drop_negligible(circuit)
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        from .packed import drop_negligible_packed
-
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return drop_negligible_packed(packed)
 
 
 class MergeRotations(TransformationPass):
     """Combine adjacent same-axis rotations on the same qubits."""
 
-    supports_packed = True
+    packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return merge_rotations(circuit)
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        from .packed import merge_rotations_packed
-
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return merge_rotations_packed(packed)
 
 
 class CancelAdjacentInverses(TransformationPass):
     """Remove back-to-back mutually-inverse gate pairs (to a fixed point)."""
 
-    supports_packed = True
+    packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return cancel_adjacent_inverses(circuit)
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        from .packed import cancel_adjacent_inverses_packed
-
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return cancel_adjacent_inverses_packed(packed)
 
 
 class FuseSingleQubitRuns(TransformationPass):
     """Collapse maximal single-qubit runs into one ``u`` gate."""
 
-    supports_packed = True
+    packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return fuse_single_qubit_runs(circuit)
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        from .packed import fuse_single_qubit_runs_packed
-
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return fuse_single_qubit_runs_packed(packed)
-
-
-#: Single-qubit gates diagonal in Z — they commute with a CX control and
-#: with both operands of a CZ.
-_DIAGONAL_1Q = frozenset({"rz", "z", "s", "sdg", "t", "tdg", "p"})
-#: Single-qubit X-axis gates — they commute with a CX target.
-_X_AXIS_1Q = frozenset({"rx", "x", "sx", "sxdg"})
 
 
 class CommutingTwoQubitCancellation(TransformationPass):
     """Cancel ``cx``/``cz`` pairs separated only by commuting gates.
 
-    :func:`~repro.transpiler.optimization.cancel_adjacent_inverses` only
-    removes *strictly* adjacent pairs.  This pass additionally cancels two
-    equal two-qubit gates when every intervening operation on their qubits
-    commutes through them gate-by-gate:
+    :class:`CancelAdjacentInverses` only removes *strictly* adjacent pairs.
+    This pass additionally cancels two equal two-qubit gates when every
+    intervening operation on their qubits commutes through them gate-by-gate:
 
     * on a CX control / either CZ operand: Z-diagonal gates
       (``rz z s sdg t tdg p``),
@@ -243,82 +198,10 @@ class CommutingTwoQubitCancellation(TransformationPass):
     historical pipeline exactly); level 3 enables it.
     """
 
-    supports_packed = True
+    packed = True
 
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        from .packed import commuting_cancellation_packed
-
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return commuting_cancellation_packed(packed)
-
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        instructions = list(circuit)
-        changed = True
-        while changed:
-            instructions, changed = self._sweep(instructions)
-        out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-        for instruction in instructions:
-            out.append(instruction)
-        return out
-
-    @staticmethod
-    def _pair_key(instruction: Instruction) -> Tuple[str, Tuple[int, ...]]:
-        # CZ is symmetric: cz(a, b) cancels cz(b, a).
-        if instruction.name == "cz":
-            return ("cz", tuple(sorted(instruction.qubits)))
-        return (instruction.name, instruction.qubits)
-
-    def _sweep(self, instructions: List[Instruction]) -> Tuple[List[Instruction], bool]:
-        result: List[Optional[Instruction]] = []
-        # Open cancellation candidates: pair key -> index in `result`.
-        open_pairs: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        changed = False
-
-        def invalidate(qubits: Tuple[int, ...]) -> None:
-            for key in list(open_pairs):
-                if not qubits or any(q in key[1] for q in qubits):
-                    del open_pairs[key]
-
-        for instruction in instructions:
-            if instruction.is_barrier():
-                # A qubit-less barrier spans the whole circuit.
-                invalidate(instruction.qubits)
-                result.append(instruction)
-                continue
-            if instruction.name in ("cx", "cz") and not instruction.params:
-                key = self._pair_key(instruction)
-                index = open_pairs.get(key)
-                if index is not None:
-                    result[index] = None
-                    del open_pairs[key]
-                    changed = True
-                    continue
-                invalidate(instruction.qubits)
-                open_pairs[key] = len(result)
-                result.append(instruction)
-                continue
-            if instruction.is_unitary() and len(instruction.qubits) == 1:
-                qubit = instruction.qubits[0]
-                for key in list(open_pairs):
-                    gate_name, pair = key
-                    if qubit not in pair:
-                        continue
-                    if gate_name == "cz":
-                        commutes = instruction.name in _DIAGONAL_1Q
-                    elif qubit == pair[0]:  # cx control
-                        commutes = instruction.name in _DIAGONAL_1Q
-                    else:  # cx target
-                        commutes = instruction.name in _X_AXIS_1Q
-                    if not commutes:
-                        del open_pairs[key]
-                result.append(instruction)
-                continue
-            # Measures, resets and other multi-qubit gates block their qubits.
-            invalidate(instruction.qubits)
-            result.append(instruction)
-
-        return [i for i in result if i is not None], changed
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +320,12 @@ class DepthAnalysis(AnalysisPass):
       numerator of the paper's Critical-Depth feature).
     """
 
-    supports_packed = True
+    packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         # One packed-profile pass supplies every metric (bit-identical to the
         # former two_qubit_critical_path / depth / counter queries, asserted
         # by the transpile goldens).
-        self._record(circuit.packed(), property_set)
-        return circuit
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        self._record(packed, property_set)
-        return packed
-
-    @staticmethod
-    def _record(packed: PackedCircuit, property_set: PropertySet) -> None:
-        from ..features.features import packed_profile
-
         profile = packed_profile(packed)
         metrics = property_set.setdefault("metrics", {})
         metrics.update(
@@ -467,6 +337,7 @@ class DepthAnalysis(AnalysisPass):
                 "critical_two_qubit_gates": profile.critical_two_qubit,
             }
         )
+        return packed
 
 
 class InteractionAnalysis(AnalysisPass):
@@ -481,22 +352,9 @@ class InteractionAnalysis(AnalysisPass):
       numerator).
     """
 
-    supports_packed = True
+    packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        self._record(circuit.packed(), property_set)
-        return circuit
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        self._record(packed, property_set)
-        return packed
-
-    @staticmethod
-    def _record(packed: PackedCircuit, property_set: PropertySet) -> None:
-        from ..features.features import packed_profile
-
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         profile = packed_profile(packed)
         n = profile.num_qubits
         possible = n * (n - 1) // 2
@@ -510,3 +368,4 @@ class InteractionAnalysis(AnalysisPass):
                 "qubit_touches": profile.qubit_touches,
             }
         )
+        return packed

@@ -9,27 +9,23 @@ gate-count before/after) into ``property_set["pass_records"]`` and onto
 :attr:`PassManager.last_records`; the same timing also feeds the telemetry
 layer — a completed ``transpiler.pass`` span and the
 ``repro_transpiler_pass_seconds`` latency histogram, both labelled with the
-execution path.
+pass name.
 
-**Packed negotiation.**  The run keeps the circuit in whichever form the
-next pass can consume: passes with
-:attr:`~repro.transpiler.passes.BasePass.supports_packed` receive the
-columnar :class:`~repro.circuits.columnar.PackedCircuit` (vectorized
-implementations, see :mod:`~repro.transpiler.packed`), everything else the
-Python object form.  Conversions happen only at form boundaries, so a run
-of packed-capable passes round-trips through ``Instruction`` objects at
-most once; each :class:`PassRecord` notes the path taken (``"packed"`` /
-``"object"``) and how many pack/unpack conversions its boundary cost.
-Setting ``use_packed=False`` (constructor or attribute) forces the
-historical object walk — output is identical either way, which the golden
-transpile tests assert.
+**Circuit forms.**  Each pass takes one form, named by its
+:attr:`~repro.transpiler.passes.BasePass.packed` flag: the columnar
+:class:`~repro.circuits.columnar.PackedCircuit` (the vectorized
+optimization passes of :mod:`~repro.transpiler.optimization` and the
+analysis passes) or the Python object form (decomposition, layout, routing,
+basis translation).  The run converts only where the form changes, and
+keeps both forms across identity results, so a run of packed passes
+round-trips through ``Instruction`` objects at most once; each
+:class:`PassRecord` notes how many pack/unpack conversions its boundary
+cost.
 
 The :attr:`PassManager.fingerprint` is a stable hash of the pipeline's pass
 names and configurations; the execution layer's
 :class:`~repro.execution.cache.TranspileCache` keys compiled circuits on it,
 so two pipelines that compile differently can never collide in the cache.
-The execution path is deliberately **not** part of the fingerprint: packed
-and object runs produce gate-for-gate identical circuits.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ _FINGERPRINT_VERSION = "repro-pipeline-v1"
 _PASS_SECONDS = get_metrics().histogram(
     "repro_transpiler_pass_seconds",
     "Wall-clock latency of individual transpiler passes.",
-    ("pass_name", "path"),
+    ("pass_name",),
 )
 
 
@@ -70,8 +66,6 @@ class PassRecord:
         gates_before: Operation count (barriers excluded) entering the pass.
         gates_after: Operation count leaving the pass.
         analysis: True when the pass was an analysis pass.
-        path: Which implementation ran — ``"packed"`` (columnar IR) or
-            ``"object"`` (Instruction walk).
         conversions: Pack/unpack conversions performed at this pass's
             boundary to provide the form it consumes (0 when the circuit
             already was in the right form).
@@ -82,7 +76,6 @@ class PassRecord:
     gates_before: int
     gates_after: int
     analysis: bool = False
-    path: str = "object"
     conversions: int = 0
 
     @property
@@ -93,7 +86,7 @@ class PassRecord:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         kind = "analysis" if self.analysis else "transform"
         text = (
-            f"{self.name:<36s} {kind:<9s} {self.path:<6s} "
+            f"{self.name:<36s} {kind:<9s} "
             f"{self.seconds * 1e3:8.3f} ms  "
             f"{self.gates_before:>5d} -> {self.gates_after:<5d} gates"
         )
@@ -115,10 +108,6 @@ class PassManager:
     Args:
         passes: The pipeline, in execution order.  May be empty and extended
             with :meth:`append`.
-        use_packed: When True (default), passes advertising
-            ``supports_packed`` run over the columnar IR; False forces the
-            object walk for every pass (used by parity tests and the
-            packed-vs-object benchmark — compiled output is identical).
 
     A single :class:`PassManager` may be reused across circuits; each
     :meth:`run` gets a fresh property set unless one is passed in.
@@ -127,11 +116,10 @@ class PassManager:
     ``property_set["pass_records"]`` instead).
     """
 
-    def __init__(self, passes: Iterable[BasePass] = (), use_packed: bool = True) -> None:
+    def __init__(self, passes: Iterable[BasePass] = ()) -> None:
         self._passes: List[BasePass] = []
         for pass_ in passes:
             self.append(pass_)
-        self.use_packed = bool(use_packed)
         self.last_records: Tuple[PassRecord, ...] = ()
         #: Total pack/unpack conversions of the most recent run, including
         #: the final unpack when the pipeline ends in packed form.
@@ -171,8 +159,7 @@ class PassManager:
         pass contributes its name and
         :meth:`~repro.transpiler.passes.BasePass.signature`), which is what
         lets the transpile cache key on the pipeline instead of on loose
-        ``optimization_level`` integers.  ``use_packed`` is excluded on
-        purpose: both paths compile identically.
+        ``optimization_level`` integers.
         """
         hasher = hashlib.sha1(_FINGERPRINT_VERSION.encode())
         for pass_ in self._passes:
@@ -204,7 +191,7 @@ class PassManager:
         packed: Optional[PackedCircuit] = None
         conversions_total = 0
         for pass_ in self._passes:
-            wants_packed = self.use_packed and pass_.supports_packed
+            wants_packed = pass_.packed
             conversions = 0
             if wants_packed and packed is None:
                 packed = obj.packed()
@@ -216,10 +203,7 @@ class PassManager:
             current: "Circuit | PackedCircuit" = packed if wants_packed else obj
             gates_before = _gate_count(current)
             started = time.perf_counter()
-            if wants_packed:
-                result = pass_.run_packed(packed, properties)
-            else:
-                result = pass_.run(obj, properties)
+            result = pass_.run(current, properties)
             elapsed = time.perf_counter() - started
             if result is None:  # analysis passes may return nothing
                 result = current
@@ -229,14 +213,13 @@ class PassManager:
                 )
             if result is not current:
                 # A transformation produced a new circuit: the other form is
-                # stale.  Identity results (analysis, no-op packed passes)
-                # keep both forms live.
+                # stale.  Identity results (analysis, no-op passes) keep
+                # both forms live.
                 if wants_packed:
                     packed, obj = result, None
                 else:
                     obj, packed = result, None
             gates_after = _gate_count(result)
-            path = "packed" if wants_packed else "object"
             records.append(
                 PassRecord(
                     name=pass_.name,
@@ -244,21 +227,19 @@ class PassManager:
                     gates_before=gates_before,
                     gates_after=gates_after,
                     analysis=pass_.is_analysis,
-                    path=path,
                     conversions=conversions,
                 )
             )
             # One timing, three consumers: the PassRecord above, the latency
-            # histogram and a completed span — all carrying the path label,
-            # so `repro run --trace` and report() agree.
-            _PASS_SECONDS.observe(elapsed, pass_name=pass_.name, path=path)
+            # histogram and a completed span, so `repro run --trace` and
+            # report() agree.
+            _PASS_SECONDS.observe(elapsed, pass_name=pass_.name)
             tracer.emit(
                 "transpiler.pass",
                 elapsed,
                 pass_name=pass_.name,
                 gates_before=gates_before,
                 gates_after=gates_after,
-                path=path,
             )
         if obj is None:
             # Pipeline ended in packed form: one final unpack (the pack is
@@ -276,23 +257,17 @@ class PassManager:
     def report(self, records: Optional[Sequence[PassRecord]] = None) -> str:
         """Human-readable per-pass timing table (defaults to the last run).
 
-        Each row names the execution path (``packed`` / ``object``) and any
-        pack/unpack conversions its boundary performed; the trailing summary
-        line totals both, so the text report matches the ``transpiler.pass``
-        telemetry spans label for label.
+        Each row names any pack/unpack conversions its boundary performed;
+        the trailing summary line totals them.
         """
         rows = records if records is not None else self.last_records
         lines = [str(record) for record in rows]
         total = sum(record.seconds for record in rows)
-        lines.append(f"{'total':<36s} {'':<9s} {'':<6s} {total * 1e3:8.3f} ms")
-        packed_count = sum(1 for record in rows if record.path == "packed")
+        lines.append(f"{'total':<36s} {'':<9s} {total * 1e3:8.3f} ms")
         conversions = sum(record.conversions for record in rows)
         if records is None:
             conversions = max(conversions, self.last_conversions)
-        lines.append(
-            f"path: {packed_count} packed / {len(rows) - packed_count} object · "
-            f"{conversions} pack conversions"
-        )
+        lines.append(f"{conversions} pack conversions")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,7 +18,7 @@ historical monolithic pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..circuits import Circuit
 from ..devices import Device
@@ -28,7 +28,7 @@ from .passmanager import PassManager, PassRecord
 from .placement import Placement
 from .presets import preset_pipeline
 
-__all__ = ["TranspiledCircuit", "transpile", "transpile_many"]
+__all__ = ["TranspiledCircuit", "transpile"]
 
 
 @dataclass
@@ -151,49 +151,3 @@ def transpile(
         pipeline_fingerprint=pass_manager.fingerprint,
     )
 
-
-def transpile_many(
-    circuits: Sequence[Circuit],
-    device: Device,
-    optimization_level: int = 1,
-    placement: str = "noise_aware",
-    initial_layout: Placement | None = None,
-    pass_manager: PassManager | None = None,
-) -> List[TranspiledCircuit]:
-    """Compile a batch of circuits for one device, sharing per-device work.
-
-    The sweep drivers compile every benchmark family against every device:
-    per-circuit :func:`transpile` calls rebuild the preset pipeline for each
-    circuit and re-compile structural duplicates (the same family/size pair
-    reappears across scenario rows).  This batch form resolves the pipeline
-    once, fingerprints every circuit (which also packs it into the columnar
-    form the fast-path passes consume — so each distinct circuit is packed
-    exactly once for fingerprint *and* pipeline), and compiles each distinct
-    fingerprint a single time, fanning the result out to every duplicate.
-
-    Args / semantics match :func:`transpile`; the returned list is parallel
-    to ``circuits``, and duplicates share the identical
-    :class:`TranspiledCircuit` object.
-    """
-    # Local import: the execution layer imports the transpiler at module
-    # scope, so the reverse edge must stay function-local.
-    from ..execution.cache import circuit_fingerprint
-
-    if pass_manager is None:
-        pass_manager = preset_pipeline(
-            device,
-            optimization_level=optimization_level,
-            placement=placement,
-            initial_layout=initial_layout,
-        )
-
-    compiled: Dict[str, TranspiledCircuit] = {}
-    results: List[TranspiledCircuit] = []
-    for circuit in circuits:
-        fingerprint = circuit_fingerprint(circuit)
-        entry = compiled.get(fingerprint)
-        if entry is None:
-            entry = transpile(circuit, device, pass_manager=pass_manager)
-            compiled[fingerprint] = entry
-        results.append(entry)
-    return results

@@ -1,4 +1,4 @@
-"""Tests for the experiment runner and the table/figure drivers (reduced scale)."""
+"""Tests for benchmark runs and the table/figure drivers (reduced scale)."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.benchmarks import BitCodeBenchmark, GHZBenchmark, VanillaQAOABenchmark
 from repro.devices import get_device
 from repro.exceptions import DeviceError
+from repro.execution import ExecutionEngine
 from repro.experiments import (
     ALL_REGRESSION_FEATURES,
     PAPER_TABLE1,
@@ -19,7 +20,6 @@ from repro.experiments import (
     reproduce_figure3,
     reproduce_figure4,
     reproduce_table2,
-    run_benchmark_on_device,
 )
 from repro.experiments.figure2 import render_figure2
 from repro.experiments.figure4 import render_figure4
@@ -27,13 +27,10 @@ from repro.experiments.figure4 import render_figure4
 
 class TestRunner:
     def test_ghz_run_produces_scores_and_metadata(self):
-        run = run_benchmark_on_device(
-            GHZBenchmark(3),
-            get_device("IBM-Casablanca-7Q"),
-            shots=120,
-            repetitions=2,
-            trajectories=20,
-        )
+        with ExecutionEngine(
+            get_device("IBM-Casablanca-7Q"), backend="trajectory", trajectories=20
+        ) as engine:
+            run = engine.run(GHZBenchmark(3), shots=120, repetitions=2)
         assert len(run.scores) == 2
         assert 0.0 <= run.mean_score <= 1.0
         assert run.std_score >= 0.0
@@ -44,27 +41,21 @@ class TestRunner:
         assert "entanglement_ratio" in record
 
     def test_too_large_benchmark_raises(self):
-        with pytest.raises(DeviceError):
-            run_benchmark_on_device(GHZBenchmark(5), get_device("AQT-4Q"), shots=10)
+        with ExecutionEngine(get_device("AQT-4Q"), backend="trajectory") as engine:
+            with pytest.raises(DeviceError):
+                engine.run(GHZBenchmark(5), shots=10)
 
     def test_noiseless_run_scores_near_one(self):
-        run = run_benchmark_on_device(
-            GHZBenchmark(3),
-            get_device("IonQ-11Q"),
-            shots=400,
-            repetitions=1,
-            noisy=False,
-        )
+        with ExecutionEngine(get_device("IonQ-11Q"), backend="statevector") as engine:
+            run = engine.run(GHZBenchmark(3), shots=400, repetitions=1)
         assert run.mean_score > 0.95
 
     def test_noise_lowers_score_for_error_correction(self):
         device = get_device("IBM-Guadalupe-16Q")
-        noisy = run_benchmark_on_device(
-            BitCodeBenchmark(3, 2), device, shots=120, repetitions=1, trajectories=30
-        )
-        ideal = run_benchmark_on_device(
-            BitCodeBenchmark(3, 2), device, shots=120, repetitions=1, noisy=False
-        )
+        with ExecutionEngine(device, backend="trajectory", trajectories=30) as engine:
+            noisy = engine.run(BitCodeBenchmark(3, 2), shots=120, repetitions=1)
+        with ExecutionEngine(device, backend="statevector") as engine:
+            ideal = engine.run(BitCodeBenchmark(3, 2), shots=120, repetitions=1)
         assert noisy.mean_score < ideal.mean_score
 
 

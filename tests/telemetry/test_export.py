@@ -112,35 +112,23 @@ class TestChromeTrace:
         json.dumps(spans_to_chrome_trace(self._spans()))
 
 
-class TestTranspilerPathLabel:
-    """The pass-latency histogram separates packed and object executions."""
+class TestTranspilerPassLabel:
+    """The pass-latency histogram is labelled by pass name."""
 
-    def _run_both_paths(self):
+    def test_pass_labelled_samples_match_the_grammar(self):
         from repro.circuits import Circuit
         from repro.telemetry import get_metrics
         from repro.transpiler import DropNegligible, PassManager
 
         circuit = Circuit(2, name="label").rz(0.5, 0).rz(1e-14, 1)
-        PassManager([DropNegligible()], use_packed=True).run(circuit)
-        PassManager([DropNegligible()], use_packed=False).run(circuit)
-        return to_prometheus(get_metrics().snapshot())
-
-    def test_histogram_carries_one_series_per_path(self):
-        text = self._run_both_paths()
-        lines = [
+        PassManager([DropNegligible()]).run(circuit)
+        text = to_prometheus(get_metrics().snapshot())
+        samples = [
             line
             for line in text.splitlines()
-            if line.startswith("repro_transpiler_pass_seconds_count")
+            if "repro_transpiler_pass_seconds" in line and not line.startswith("#")
         ]
-        packed = [line for line in lines if 'path="packed"' in line]
-        object_walk = [line for line in lines if 'path="object"' in line]
-        assert packed, "no packed-path series exported"
-        assert object_walk, "no object-path series exported"
-        assert all('pass_name="' in line for line in packed + object_walk)
-
-    def test_path_labelled_samples_match_the_grammar(self):
-        text = self._run_both_paths()
-        for line in text.splitlines():
-            if "repro_transpiler_pass_seconds" not in line or line.startswith("#"):
-                continue
+        assert samples, "no pass-latency series exported"
+        for line in samples:
             assert _SAMPLE.match(line), line
+            assert 'pass_name="' in line, line

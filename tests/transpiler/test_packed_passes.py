@@ -1,4 +1,4 @@
-"""Packed fast-path guards: the vectorized passes must be invisible.
+"""Packed optimization passes vs their object-walk oracles.
 
 Four concerns:
 
@@ -7,16 +7,16 @@ Four concerns:
   equivalent instruction sequence from scratch, so circuit fingerprints
   hashed over the buffers can never tell the two construction paths apart.
 * **Randomized pass parity** — hypothesis-driven instruction streams flow
-  through every optimization pass (and the full five-pass chain) in both
-  packed and object form and must produce identical gate sequences.
+  through every production optimization pass (and the full five-pass chain)
+  and through its ``reference.py`` twin, and must produce identical gate
+  sequences.
 * **Preset/family parity** — every preset level compiles the Fig. 2
-  benchmark families to the same circuit on both paths, under the same
-  pipeline fingerprint (``use_packed`` is an execution detail, not a
-  compilation knob — flipping it must not invalidate caches).
-* **Wide rows and reporting** — >3-operand barriers stay on the packed path
-  (the wide-pool escape hatch, not a silent object fallback), and
-  :meth:`PassManager.report` / the ``transpiler.pass`` spans agree on which
-  path ran and how many pack conversions were paid.
+  benchmark families to the same circuit as the same pipeline with each
+  packed pass swapped for its reference twin.
+* **Wide rows and reporting** — >3-operand barriers are handled in packed
+  form (the wide-pool escape hatch), and :meth:`PassManager.report` / the
+  ``transpiler.pass`` spans agree on the passes run and the pack
+  conversions paid.
 """
 
 import numpy as np
@@ -38,6 +38,8 @@ from repro.transpiler import (
     preset_pipeline,
     transpile,
 )
+
+from reference import reference_pass, reference_pipeline
 
 DEVICE = "IBM-Guadalupe-16Q"
 
@@ -150,8 +152,8 @@ class TestRandomizedParity:
     def test_each_pass_matches_object_walk(self, num_qubits, seed):
         circuit = _random_circuit(num_qubits, seed)
         for pass_ in _optimization_passes():
-            object_manager = PassManager([pass_], use_packed=False)
-            packed_manager = PassManager([pass_], use_packed=True)
+            object_manager = PassManager([reference_pass(pass_)])
+            packed_manager = PassManager([pass_])
             assert _stream(object_manager.run(circuit)) == _stream(
                 packed_manager.run(circuit)
             ), pass_.name
@@ -160,14 +162,12 @@ class TestRandomizedParity:
     @settings(max_examples=60, deadline=None)
     def test_full_chain_matches_object_walk(self, num_qubits, seed):
         circuit = _random_circuit(num_qubits, seed)
-        object_manager = PassManager(_optimization_passes(), use_packed=False)
-        packed_manager = PassManager(_optimization_passes(), use_packed=True)
+        packed_manager = PassManager(_optimization_passes())
+        object_manager = reference_pipeline(packed_manager)
         assert object_manager.fingerprint == packed_manager.fingerprint
         assert _stream(object_manager.run(circuit)) == _stream(
             packed_manager.run(circuit)
         )
-        assert all(record.path == "packed" for record in packed_manager.last_records)
-        assert all(record.path == "object" for record in object_manager.last_records)
 
 
 class TestPresetFamilyParity:
@@ -183,9 +183,7 @@ class TestPresetFamilyParity:
             if circuit.num_qubits > device.num_qubits:
                 continue
             packed_pipeline = preset_pipeline(device, optimization_level=level)
-            object_pipeline = preset_pipeline(device, optimization_level=level)
-            object_pipeline.use_packed = False
-            # use_packed is an execution detail: same fingerprint, same caches.
+            object_pipeline = reference_pipeline(packed_pipeline)
             assert packed_pipeline.fingerprint == object_pipeline.fingerprint
             fast = transpile(circuit, device, pass_manager=packed_pipeline)
             slow = transpile(circuit, device, pass_manager=object_pipeline)
@@ -196,7 +194,7 @@ class TestPresetFamilyParity:
 
 
 class TestWideRows:
-    def test_wide_barrier_stays_on_packed_path(self):
+    def test_wide_barrier_matches_object_walk(self):
         circuit = Circuit(6, name="wide")
         circuit.rz(0.4, 0).rz(0.3, 0)  # merges
         circuit.cx(0, 1).cx(0, 1)  # cancels
@@ -204,14 +202,11 @@ class TestWideRows:
         circuit.s(2).sdg(2)  # cancels after the barrier
         circuit.h(3).t(3).h(3)  # fuses
         circuit.rz(1e-15, 5)  # drops
-        object_manager = PassManager(_optimization_passes(), use_packed=False)
-        packed_manager = PassManager(_optimization_passes(), use_packed=True)
+        packed_manager = PassManager(_optimization_passes())
+        object_manager = reference_pipeline(packed_manager)
         expected = object_manager.run(circuit)
         observed = packed_manager.run(circuit)
         assert _stream(expected) == _stream(observed)
-        assert [record.path for record in packed_manager.last_records] == [
-            "packed"
-        ] * 5
 
     def test_wide_barrier_blocks_merges_across_it(self):
         circuit = Circuit(5, name="wideblock")
@@ -223,20 +218,19 @@ class TestWideRows:
 
 
 class TestReporting:
-    def test_report_shows_path_and_conversion_counts(self):
+    def test_report_shows_conversion_counts(self):
         circuit = _random_circuit(5, 42)
-        manager = PassManager(_optimization_passes(), use_packed=True)
+        manager = PassManager(_optimization_passes())
         manager.run(circuit)
         report = manager.report()
-        assert "packed" in report
         assert "pack conversions" in report
         assert f"{manager.last_conversions} pack conversions" in report
 
-    def test_records_and_trace_spans_agree_on_path(self):
+    def test_records_and_trace_spans_agree(self):
         tracer = configure_tracing(enabled=True)
         tracer.drain()
         circuit = _random_circuit(5, 43)
-        manager = PassManager(_optimization_passes(), use_packed=True)
+        manager = PassManager(_optimization_passes())
         try:
             manager.run(circuit)
             spans = [s for s in tracer.drain() if s.name == "transpiler.pass"]
@@ -245,11 +239,11 @@ class TestReporting:
         assert len(spans) == len(manager.last_records)
         by_name = {span.attributes["pass_name"]: span for span in spans}
         for record in manager.last_records:
-            assert by_name[record.name].attributes["path"] == record.path == "packed"
+            assert by_name[record.name].attributes["gates_after"] == record.gates_after
 
     def test_object_only_pipeline_reports_no_conversions(self):
         circuit = _random_circuit(4, 44)
-        manager = PassManager(_optimization_passes(), use_packed=False)
+        manager = reference_pipeline(PassManager(_optimization_passes()))
         manager.run(circuit)
         assert manager.last_conversions == 0
         assert all(record.conversions == 0 for record in manager.last_records)
